@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci lint wilint wilint-ledger lint-selftest vet build test race chaos failover corpus corpus-short fuzz-smoke bench bench-smoke bench-check
+.PHONY: ci lint wilint wilint-ledger lint-selftest vet build test race chaos failover corpus corpus-short fuzz-smoke bench bench-smoke bench-check perfbench-check
 
 # ci is the full local gate: static checks (vet + the wilint invariant
 # suite and its self-tests), the race-instrumented test suite (including
@@ -9,8 +9,9 @@ FUZZTIME ?= 5s
 # the cluster failover/partition gauntlet, the core tier of the scenario
 # golden corpus, a short fuzz smoke on every fuzz target, a one-iteration
 # benchmark smoke (catches benchmarks that stop compiling or crash,
-# without timing anything) and the SVD-lookup benchmark regression gate.
-ci: lint lint-selftest build race chaos failover corpus-short fuzz-smoke bench-smoke bench-check
+# without timing anything), the SVD-lookup benchmark regression gate and
+# the end-to-end benchmark's own vet and tests.
+ci: lint lint-selftest build race chaos failover corpus-short fuzz-smoke bench-smoke bench-check perfbench-check
 
 # lint runs every static check: go vet, the project's own wilint
 # multichecker (exits non-zero on any unsuppressed finding), and
@@ -142,6 +143,14 @@ bench-check:
 		| $(GO) run ./cmd/benchcheck -baseline BENCH_read.json \
 			-require 'BenchmarkVehiclesGET,BenchmarkVehiclesRecompute,BenchmarkArrivalsGET,BenchmarkArrivalsRecompute' \
 			-speedup 'BenchmarkVehiclesGET:BenchmarkVehiclesRecompute:10,BenchmarkArrivalsGET:BenchmarkArrivalsRecompute:10'
+
+# perfbench-check vets and tests the end-to-end benchmark (perfbench/, run by
+# perfbench/run.sh). It is a module of its own, so the root `go build ./...`
+# never compiles it; without this target a change to a package it uses could
+# break the benchmark unnoticed. The test plants a dropped report and
+# requires the correctness check to catch it.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 bench-all:
 	$(GO) test -bench=. -benchmem

@@ -70,7 +70,7 @@ func run() error {
 	// Today: an accident blocks a corridor segment of route 9 from 8:10.
 	route, _ := net.Route("9")
 	segIdx := route.NumSegments() / 3
-	segID := route.Segments()[segIdx]
+	segID := route.SegmentID(segIdx)
 	incident := wilocator.Incident{
 		Seg:        segID,
 		Start:      clock.Add(10 * time.Minute),

@@ -67,7 +67,7 @@ func Fig11TrafficMap(spec ScenarioSpec, trainDays int) (Fig11Result, error) {
 	// whole morning rush, crawling traffic.
 	route, _ := sc.Net.Route(roadnet.Route9)
 	segIdx := route.NumSegments() / 3
-	segID := route.Segments()[segIdx]
+	segID := route.SegmentID(segIdx)
 	seg, _ := sc.Net.Graph.Segment(segID)
 	evalDay := WeekdayServiceDays(trainDays + 1)[trainDays]
 	incident := mobility.Incident{
@@ -165,7 +165,7 @@ func Fig11TrafficMap(spec ScenarioSpec, trainDays int) (Fig11Result, error) {
 		exclude = append(exclude, stop.Arc)
 	}
 	for i := 0; i < route.NumSegments(); i++ {
-		sid := route.Segments()[i]
+		sid := route.SegmentID(i)
 		if s, _ := sc.Net.Graph.Segment(sid); s != nil && s.Signal {
 			exclude = append(exclude, route.SegmentEndArc(i))
 		}
@@ -226,7 +226,7 @@ func SeasonalIndexExperiment(spec ScenarioSpec, trainDays int) (SeasonalResult, 
 		return SeasonalResult{}, err
 	}
 	route, _ := sc.Net.Route(roadnet.Route9)
-	segID := route.Segments()[route.NumSegments()/2]
+	segID := route.SegmentID(route.NumSegments() / 2)
 	si := store.SeasonalIndex(segID)
 	plan, err := traveltime.GroupSlots(si, 0)
 	if err != nil {

@@ -135,7 +135,7 @@ func Drive(net *roadnet.Network, routeID string, start time.Time, cfg DriveConfi
 	}
 
 	for segIdx := 0; segIdx < route.NumSegments(); segIdx++ {
-		segID := route.Segments()[segIdx]
+		segID := route.SegmentID(segIdx)
 		seg, _ := net.Graph.Segment(segID)
 		segStart := route.SegmentStartArc(segIdx)
 		segEnd := route.SegmentEndArc(segIdx)
@@ -287,7 +287,7 @@ func Traversals(net *roadnet.Network, trip *Trip) ([]Traversal, error) {
 	for i := 0; i < route.NumSegments(); i++ {
 		exit := trip.TimeAtArc(route.SegmentEndArc(i))
 		out = append(out, Traversal{
-			Seg:     route.Segments()[i],
+			Seg:     route.SegmentID(i),
 			RouteID: trip.RouteID(),
 			Enter:   enter,
 			Exit:    exit,

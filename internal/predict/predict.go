@@ -212,7 +212,7 @@ func (e *Engine) PredictArrival(routeID string, fromArc float64, at time.Time, s
 	arc := fromArc
 	idx, _, _ := route.SegmentAt(arc)
 	for {
-		segID := route.Segments()[idx]
+		segID := route.SegmentID(idx)
 		segStart := route.SegmentStartArc(idx)
 		segEnd := route.SegmentEndArc(idx)
 		segLen := segEnd - segStart
@@ -239,21 +239,87 @@ func (e *Engine) PredictArrival(routeID string, fromArc float64, at time.Time, s
 	}
 }
 
+// ForEachStopAhead predicts the arrival at every stop strictly ahead of
+// fromArc in a single walk of the route's segments, calling emit once per
+// stop in stop order. Each segment on the way is predicted once instead of
+// once per stop behind it. The walk applies the same operations in the same
+// order as PredictArrival does for each stop — every stop's walk enters a
+// segment at the same clock — so emit receives exactly PredictArrival's
+// result. When a segment prediction fails, every stop not yet emitted is
+// emitted with that error. Only an unknown route is returned as an error.
+func (e *Engine) ForEachStopAhead(routeID string, fromArc float64, at time.Time, emit func(stopIdx int, eta time.Time, err error)) error {
+	route, ok := e.net.Route(routeID)
+	if !ok {
+		return fmt.Errorf("predict: unknown route %q", routeID)
+	}
+	n := route.NumStops()
+	next := route.NextStopIndex(fromArc)
+	if next >= n {
+		return nil
+	}
+	clock := at
+	arc := fromArc
+	idx, _, _ := route.SegmentAt(arc)
+	for {
+		segStart := route.SegmentStartArc(idx)
+		segEnd := route.SegmentEndArc(idx)
+		segLen := segEnd - segStart
+		full, err := e.SegmentTime(route.SegmentID(idx), routeID, clock)
+		if err != nil {
+			for ; next < n; next++ {
+				emit(next, time.Time{}, err)
+			}
+			return nil
+		}
+		// Stops ending their walk in this segment: PredictArrival's last
+		// step with end = target.
+		for ; next < n && route.StopArc(next) <= segEnd; next++ {
+			eta := clock
+			if segLen > 0 {
+				frac := (route.StopArc(next) - arc) / segLen
+				eta = clock.Add(time.Duration(frac * full * float64(time.Second)))
+			}
+			emit(next, eta, nil)
+		}
+		if next >= n {
+			return nil
+		}
+		// Every remaining stop lies beyond segEnd: the full step.
+		if segLen > 0 {
+			frac := (segEnd - arc) / segLen
+			clock = clock.Add(time.Duration(frac * full * float64(time.Second)))
+		}
+		arc = segEnd
+		idx++
+		if idx >= route.NumSegments() {
+			for ; next < n; next++ {
+				emit(next, clock, nil)
+			}
+			return nil
+		}
+	}
+}
+
 // PredictAllStops predicts arrival times at every stop strictly ahead of
 // fromArc, returned in stop order alongside the stop indices. Used by the
 // error-vs-stops experiment (Fig. 8(c)).
 func (e *Engine) PredictAllStops(routeID string, fromArc float64, at time.Time) ([]StopPrediction, error) {
-	route, ok := e.net.Route(routeID)
-	if !ok {
-		return nil, fmt.Errorf("predict: unknown route %q", routeID)
-	}
 	var out []StopPrediction
-	for i := route.NextStopIndex(fromArc); i < route.NumStops(); i++ {
-		eta, err := e.PredictArrival(routeID, fromArc, at, i)
+	var firstErr error
+	err := e.ForEachStopAhead(routeID, fromArc, at, func(stopIdx int, eta time.Time, err error) {
 		if err != nil {
-			return nil, err
+			if firstErr == nil {
+				firstErr = err
+			}
+			return
 		}
-		out = append(out, StopPrediction{StopIndex: i, ETA: eta})
+		out = append(out, StopPrediction{StopIndex: stopIdx, ETA: eta})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return out, nil
 }

@@ -97,3 +97,64 @@ func TestSegmentTimePositive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestForEachStopAheadMatchesPredictArrival: the single-walk predictor emits
+// exactly what per-stop PredictArrival returns — same stops, same instants
+// to the nanosecond — for stops on and between segment boundaries, with
+// and without history, across slot boundaries.
+func TestForEachStopAheadMatchesPredictArrival(t *testing.T) {
+	net, route := lineNet(t, 8)
+	// Six stops over eight segments: most fall mid-segment.
+	if err := route.PlaceStopsEvenly(6); err != nil {
+		t.Fatal(err)
+	}
+	store := traveltime.NewStore(traveltime.PaperPlan())
+	for i, seg := range route.Segments() {
+		if i == 5 {
+			continue // one segment without history: free-flow fallback
+		}
+		for k := 0; k < 4; k++ {
+			addRec(t, store, seg, "r", midday(-200+40*k+i), 20+float64((i+k)%5)*9)
+			addRec(t, store, seg, "x", midday(-180+40*k+i), 25+float64(i%3)*7)
+		}
+	}
+	w, err := NewWiLocator(net, store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(rawArc uint16, rawMin uint16) bool {
+		fromArc := float64(rawArc)/65535*route.Length()*1.1 - 20
+		at := midday(int(rawMin%900) - 450)
+		want := map[int]time.Time{}
+		for m := 0; m < route.NumStops(); m++ {
+			if eta, err := w.PredictArrival("r", fromArc, at, m); err == nil {
+				want[m] = eta
+			}
+		}
+		got := map[int]time.Time{}
+		last := -1
+		ok := true
+		err := w.ForEachStopAhead("r", fromArc, at, func(m int, eta time.Time, err error) {
+			if err != nil || m <= last {
+				ok = false
+			}
+			last = m
+			got[m] = eta
+		})
+		if err != nil || !ok || len(got) != len(want) {
+			return false
+		}
+		for m, eta := range want {
+			if g, found := got[m]; !found || !g.Equal(eta) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if err := w.ForEachStopAhead("nope", 0, midday(0), func(int, time.Time, error) {}); err == nil {
+		t.Error("unknown route accepted")
+	}
+}

@@ -417,8 +417,14 @@ func BuildRiverineCity(spec RiverineSpec, seed uint64) (*Network, error) {
 		}
 		sSegs[i] = id
 	}
+	// Bridges are added in index order: segment IDs are assigned in
+	// AddSegment order and seed the per-segment AP deployment streams, so a
+	// map-ordered loop here would make the city differ between runs.
 	bridges := make(map[int]SegmentID)
-	for i := range bridgeAt {
+	for i := 0; i < spec.Nodes; i++ {
+		if !bridgeAt[i] {
+			continue
+		}
 		id, err := g.AddSegment(southN[i], northN[i], fmt.Sprintf("bridge-%d", i), spec.Speed*0.8, true)
 		if err != nil {
 			return nil, err

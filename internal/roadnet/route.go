@@ -121,6 +121,10 @@ func (r *Route) Segments() []SegmentID {
 	return cp
 }
 
+// SegmentID returns the ID of the route's idx-th segment without copying
+// the segment sequence.
+func (r *Route) SegmentID(idx int) SegmentID { return r.segIDs[idx] }
+
 // NumSegments returns the number of segments on the route.
 func (r *Route) NumSegments() int { return len(r.segIDs) }
 
@@ -205,6 +209,9 @@ func (r *Route) Stops() []Stop {
 	copy(cp, r.stops)
 	return cp
 }
+
+// Stop returns the route's i-th stop without copying the stop list.
+func (r *Route) Stop(i int) Stop { return r.stops[i] }
 
 // NumStops returns the number of stops on the route.
 func (r *Route) NumStops() int { return len(r.stops) }

@@ -177,7 +177,7 @@ func seedIncidents(net *roadnet.Network, spec Spec, rng *xrand.Rand) ([]mobility
 	for i := 0; i < spec.Incidents.Count; i++ {
 		route := routes[rng.Intn(len(routes))]
 		segIdx := rng.Intn(route.NumSegments())
-		segID := route.Segments()[segIdx]
+		segID := route.SegmentID(segIdx)
 		seg, _ := net.Graph.Segment(segID)
 		length := seg.Length()
 		lo := rng.Range(0, length*0.5)

@@ -270,7 +270,7 @@ func probeSegment(net *roadnet.Network) roadnet.SegmentID {
 			break
 		}
 	}
-	return pick.Segments()[pick.NumSegments()/2]
+	return pick.SegmentID(pick.NumSegments() / 2)
 }
 
 // sampleMetrics renders the registry and keeps the allowlisted counter

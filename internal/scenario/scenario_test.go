@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -187,5 +190,66 @@ func TestDeviceScenarioStillTracks(t *testing.T) {
 	}
 	if res.PositionError.N == 0 {
 		t.Error("no position-error samples")
+	}
+}
+
+// eventHash digests a compiled world's street map, event stream and churn
+// schedule.
+func eventHash(c *Compiled) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, rt := range c.Net.Routes() {
+		h.Write([]byte(rt.ID()))
+		for _, seg := range rt.Segments() {
+			put(int64(seg))
+		}
+	}
+	for _, ev := range c.Events {
+		put(ev.Deliver.UnixNano())
+		put(int64(ev.Seq))
+		put(int64(ev.BusIdx))
+		h.Write([]byte(ev.Kind))
+		b, err := json.Marshal(ev.Report)
+		if err != nil {
+			panic(err) // api.Report is plain data
+		}
+		h.Write(b)
+	}
+	for _, wv := range c.Waves {
+		put(wv.At.UnixNano())
+		for _, d := range wv.Dead {
+			h.Write([]byte(d))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCompileTwiceSameEvents compiles every corpus spec repeatedly in one
+// process and requires identical event hashes. Go randomises map iteration
+// order per map, so a generator that ranges over a map while assigning IDs
+// or drawing random numbers shows up here, most likely within one run,
+// instead of as an intermittently red golden.
+func TestCompileTwiceSameEvents(t *testing.T) {
+	const compiles = 6
+	for _, spec := range Corpus() {
+		t.Run(spec.Name, func(t *testing.T) {
+			var first string
+			for i := 0; i < compiles; i++ {
+				c, err := Compile(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := eventHash(c)
+				if i == 0 {
+					first = h
+				} else if h != first {
+					t.Fatalf("compile %d of %s differs from the first: event hash %s vs %s", i+1, spec.Name, h[:16], first[:16])
+				}
+			}
+		})
 	}
 }

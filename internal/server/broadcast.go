@@ -307,29 +307,16 @@ func (b *broadcaster) close() {
 }
 
 // computeDelta diffs one route between two snapshots. VehicleStatus is a
-// comparable struct of scalars, so != is an exact field-wise change test.
+// comparable struct of scalars, so != is an exact field-wise change test. A
+// route whose vehicle list the publisher shared between the two epochs is
+// unchanged by construction, so only its strip is compared.
 func computeDelta(prev, cur *readSnapshot, route string) api.StreamDelta {
 	delta := api.StreamDelta{Epoch: cur.epoch, RouteID: route}
 
 	prevVs := prev.vehicles[route]
 	curVs := cur.vehicles[route]
-	prevByID := make(map[string]api.VehicleStatus, len(prevVs))
-	for _, v := range prevVs {
-		prevByID[v.BusID] = v
-	}
-	for _, v := range curVs {
-		old, ok := prevByID[v.BusID]
-		if !ok || old != v {
-			delta.Updated = append(delta.Updated, v)
-		}
-		delete(prevByID, v.BusID)
-	}
-	if len(prevByID) > 0 {
-		delta.Removed = make([]string, 0, len(prevByID))
-		for id := range prevByID {
-			delta.Removed = append(delta.Removed, id)
-		}
-		sort.Strings(delta.Removed)
+	if !sharedList(prevVs, curVs) {
+		delta.Updated, delta.Removed = diffVehicles(prevVs, curVs)
 	}
 
 	if prevStrip, curStrip := prev.tmaps[route].resp.Strip, cur.tmaps[route].resp.Strip; prevStrip != curStrip {
@@ -337,6 +324,36 @@ func computeDelta(prev, cur *readSnapshot, route string) api.StreamDelta {
 		delta.StripChanged = true
 	}
 	return delta
+}
+
+// sharedList reports whether a and b are the same slice: equal length over
+// the same backing array.
+func sharedList(a, b []api.VehicleStatus) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// diffVehicles returns the vehicles of cur that are new or changed since
+// prev, in cur's order, and the sorted IDs of the vehicles that left.
+func diffVehicles(prev, cur []api.VehicleStatus) (updated []api.VehicleStatus, removed []string) {
+	prevByID := make(map[string]api.VehicleStatus, len(prev))
+	for _, v := range prev {
+		prevByID[v.BusID] = v
+	}
+	for _, v := range cur {
+		old, ok := prevByID[v.BusID]
+		if !ok || old != v {
+			updated = append(updated, v)
+		}
+		delete(prevByID, v.BusID)
+	}
+	if len(prevByID) > 0 {
+		removed = make([]string, 0, len(prevByID))
+		for id := range prevByID {
+			removed = append(removed, id)
+		}
+		sort.Strings(removed)
+	}
+	return updated, removed
 }
 
 // sseFrame renders one server-sent event: the event name, the epoch as the

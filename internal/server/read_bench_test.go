@@ -92,3 +92,32 @@ func BenchmarkArrivalsRecompute(b *testing.B) {
 		_ = marshalBody(ests)
 	}
 }
+
+// BenchmarkPublishOneBus times one republish after a single bus's state
+// changed — the live single-report ingest steady state, where the
+// incremental publisher recomputes that bus's products and its route's
+// tables and shares everything else. BenchmarkPublishFull rebuilds the same
+// epoch from scratch; the ratio is what incremental publishing saves.
+func BenchmarkPublishOneBus(b *testing.B) { benchmarkPublish(b, true) }
+
+func BenchmarkPublishFull(b *testing.B) { benchmarkPublish(b, false) }
+
+func benchmarkPublish(b *testing.B, incremental bool) {
+	w := newReadBenchWorld(b, 82)
+	bs := w.svc.buses.get("bench-bus-00")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A report without a new fix: the bus's last-heard time moves, so
+		// its vehicle status, route list and arrival table change.
+		bs.mu.Lock()
+		bs.lastUpdate = bs.lastUpdate.Add(time.Millisecond)
+		bs.version = w.svc.markDirty()
+		bs.mu.Unlock()
+		if incremental {
+			w.svc.currentSnapshot()
+		} else {
+			w.svc.computeSnapshot(nil, w.svc.snap.dirty.Load(), 1, w.now())
+		}
+	}
+}

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,6 +162,12 @@ type busState struct {
 	lastCross  *locate.Crossing
 	lastUpdate time.Time
 	done       bool
+
+	// version is the dirty-counter value markDirty returned for this bus's
+	// last read-visible mutation. The counter is global and monotone, so a
+	// version never repeats, even for a bus evicted and re-registered under
+	// the same ID; an unchanged version proves the captured state unchanged.
+	version uint64
 }
 
 // ingestStats holds the cumulative report-outcome counters (atomics — the
@@ -227,6 +232,13 @@ type Service struct {
 	proj *geo.Projection
 	sink func(traveltime.Record) error
 
+	// Immutable per-network tables of the snapshot publisher: the routes
+	// in registration order, each route's index in it, and each route's
+	// anomaly-exclusion arcs (stops and signalled segment ends).
+	routes         []*roadnet.Route
+	routeIdx       map[string]int
+	anomalyExclude map[string][]float64
+
 	buses   *busTable
 	stats   ingestStats
 	http    httpStats
@@ -279,13 +291,21 @@ func NewService(dia *svd.Diagram, store *traveltime.Store, cfg Config) (*Service
 		proj:  geo.NewProjection(cfg.Origin),
 		sink:  sink,
 		buses: newBusTable(cfg.Shards),
+
+		routes:         net.Routes(),
+		routeIdx:       make(map[string]int),
+		anomalyExclude: make(map[string][]float64),
+	}
+	for i, rt := range s.routes {
+		s.routeIdx[rt.ID()] = i
+		s.anomalyExclude[rt.ID()] = anomalyExcludeArcs(net, rt)
 	}
 	s.tracer = cfg.Tracer
 	s.eng.Store(&engine{dia: dia, pos: pos, gen: 1})
 	s.bcast = newBroadcaster(s, cfg.StreamBuffer, cfg.StreamMaxSubscribers)
 	// Publish the initial (empty) read snapshot synchronously so the read
 	// path never observes a nil pointer.
-	s.snap.cur.Store(s.computeSnapshot(s.snap.dirty.Load(), 1, cfg.Now()))
+	s.snap.cur.Store(s.computeSnapshot(nil, s.snap.dirty.Load(), 1, cfg.Now()))
 	s.read.publishes.Add(1)
 	if cfg.Metrics != nil {
 		s.mx = newServiceMetrics(s, cfg.Metrics)
@@ -563,7 +583,7 @@ func (s *Service) ingest(ctx context.Context, rep api.Report) (api.IngestRespons
 		s.stats.registered.Add(1)
 		// Registration alone changes read-visible state (the bus's
 		// trajectory resets) even if the report is later rejected.
-		s.markDirty()
+		bs.version = s.markDirty()
 	} else if bs.gen != eng.gen {
 		// The diagram was rebuilt since this tracker's last report. Re-bind
 		// the tracker to the new generation: its trip state (last fix,
@@ -618,7 +638,7 @@ func (s *Service) ingest(ctx context.Context, rep api.Report) (api.IngestRespons
 	// deferred unlock runs after): a concurrent snapshot capture either
 	// read the counter before this bump (its snapshot is then recorded as
 	// stale) or blocks on bs.mu until this mutation is fully visible.
-	s.markDirty()
+	bs.version = s.markDirty()
 	return resp, nil
 }
 
@@ -638,7 +658,7 @@ func (s *Service) flushLocked(ctx context.Context, bs *busState) (locate.Estimat
 		if bs.lastCross != nil {
 			segIdx := c.SegIndex - 1
 			if segIdx >= 0 && segIdx < route.NumSegments() && bs.lastCross.SegIndex == segIdx {
-				segID := route.Segments()[segIdx]
+				segID := route.SegmentID(segIdx)
 				rec := traveltime.Record{
 					Seg:     segID,
 					RouteID: bs.routeID,
@@ -702,43 +722,6 @@ func (s *Service) Vehicles(routeID string) []api.VehicleStatus {
 	// snapshot for every other reader.
 	out := make([]api.VehicleStatus, len(vs))
 	copy(out, vs)
-	return out
-}
-
-// RecomputeVehicles is the pre-snapshot lock path: it walks the live bus
-// table under per-bus locks and derives the vehicle list at call time. The
-// snapshot-equivalence tests and the cold-compute benchmarks keep it as the
-// reference implementation; request serving goes through Vehicles.
-func (s *Service) RecomputeVehicles(routeID string) []api.VehicleStatus {
-	now := s.cfg.Now()
-	var out []api.VehicleStatus
-	s.buses.forEach(func(id string, bs *busState) {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		if bs.tracker == nil {
-			return
-		}
-		if routeID != "" && bs.routeID != routeID {
-			return
-		}
-		if bs.done || now.Sub(bs.lastUpdate) > s.cfg.StaleAfter {
-			return
-		}
-		arc, ok := bs.tracker.Arc()
-		if !ok {
-			return
-		}
-		speed, _ := bs.tracker.Speed()
-		out = append(out, api.VehicleStatus{
-			BusID:   id,
-			RouteID: bs.routeID,
-			Arc:     arc,
-			Pos:     bs.tracker.Route().PointAt(arc),
-			Speed:   speed,
-			Updated: bs.lastUpdate,
-		})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].BusID < out[j].BusID })
 	return out
 }
 
@@ -807,17 +790,6 @@ func (s *Service) arrivals(routeID string, stopIdx int) ([]api.ArrivalEstimate, 
 	return out, nil
 }
 
-// RecomputeArrivals is the pre-snapshot lock path for one (route, stop)
-// arrival table, predicting over RecomputeVehicles at call time. Reference
-// implementation for the snapshot-equivalence tests and benchmarks.
-func (s *Service) RecomputeArrivals(routeID string, stopIdx int) ([]api.ArrivalEstimate, error) {
-	route, err := s.checkStop(routeID, stopIdx)
-	if err != nil {
-		return nil, err
-	}
-	return s.predictStop(route, routeID, s.RecomputeVehicles(routeID), stopIdx)
-}
-
 // TrafficMap returns the classified network (or one route) from the current
 // epoch snapshot. The classification time is the snapshot's GeneratedAt —
 // at most FusionWindow behind the clock.
@@ -834,28 +806,6 @@ func (s *Service) TrafficMap(routeID string) (api.TrafficMapResponse, error) {
 		resp.Segments = append([]trafficmap.SegmentStatus(nil), resp.Segments...)
 	}
 	return resp, nil
-}
-
-// RecomputeTrafficMap is the pre-snapshot path: it classifies the network
-// (or one route) at call time under the store lock. Reference implementation
-// for the snapshot-equivalence tests.
-func (s *Service) RecomputeTrafficMap(routeID string) (api.TrafficMapResponse, error) {
-	now := s.cfg.Now()
-	var statuses []trafficmap.SegmentStatus
-	if routeID == "" {
-		statuses = s.tmap.Map(now)
-	} else {
-		var err error
-		statuses, err = s.tmap.MapForRoute(routeID, now)
-		if err != nil {
-			return api.TrafficMapResponse{}, err
-		}
-	}
-	return api.TrafficMapResponse{
-		GeneratedAt: now,
-		Segments:    statuses,
-		Strip:       trafficmap.Render(statuses),
-	}, nil
 }
 
 // RouteInfos returns the route inventory (Table I).
@@ -892,39 +842,13 @@ func (s *Service) ActiveBuses() int {
 // other read) of the same epoch observes one consistent instant — the old
 // path could see mid-update state across its two lock acquisitions.
 func (s *Service) Trajectory(busID string) (api.TrajectoryResponse, error) {
-	out, ok := s.currentSnapshot().trajectories[busID]
-	if !ok {
+	e := findBus(s.currentSnapshot().buses, busID)
+	if e == nil {
 		return api.TrajectoryResponse{}, fmt.Errorf("server: unknown bus %q", busID)
 	}
+	out := e.trajectory
 	if out.Fixes != nil {
 		out.Fixes = append([]api.TrajectoryFix(nil), out.Fixes...)
-	}
-	return out, nil
-}
-
-// RecomputeTrajectory is the pre-snapshot lock path: it reads the bus's
-// tracker under its lock at call time. Reference implementation for the
-// snapshot-equivalence tests.
-func (s *Service) RecomputeTrajectory(busID string) (api.TrajectoryResponse, error) {
-	bs := s.buses.get(busID)
-	if bs == nil {
-		return api.TrajectoryResponse{}, fmt.Errorf("server: unknown bus %q", busID)
-	}
-	bs.mu.Lock()
-	registered := bs.tracker != nil
-	routeID := bs.routeID
-	var traj []locate.TrajectoryPoint
-	if registered {
-		traj = bs.tracker.Trajectory()
-	}
-	bs.mu.Unlock()
-	if !registered {
-		return api.TrajectoryResponse{}, fmt.Errorf("server: unknown bus %q", busID)
-	}
-	out := api.TrajectoryResponse{BusID: busID, RouteID: routeID}
-	for _, p := range traj {
-		ll := s.proj.ToLatLng(p.Pos)
-		out.Fixes = append(out.Fixes, api.TrajectoryFix{Lat: ll.Lat, Lng: ll.Lng, Time: p.Time, Arc: p.Arc})
 	}
 	return out, nil
 }
@@ -963,45 +887,14 @@ func (s *Service) Anomalies(routeID string) ([]api.AnomalyReport, error) {
 	return out, nil
 }
 
-// RecomputeAnomalies is the pre-snapshot path: it captures each live bus
-// under its own lock at call time and runs the detection over the result.
-// Reference implementation for the snapshot-equivalence tests.
-func (s *Service) RecomputeAnomalies(routeID string) ([]api.AnomalyReport, error) {
-	if routeID != "" {
-		if _, ok := s.net.Route(routeID); !ok {
-			return nil, fmt.Errorf("server: unknown route %q", routeID)
-		}
-	}
-	now := s.cfg.Now()
-	var caps []busCapture
-	s.buses.forEach(func(id string, bs *busState) {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		if bs.tracker == nil {
-			return
-		}
-		if routeID != "" && bs.routeID != routeID {
-			return
-		}
-		caps = append(caps, busCapture{
-			id:         id,
-			routeID:    bs.routeID,
-			lastUpdate: bs.lastUpdate,
-			traj:       bs.tracker.Trajectory(),
-		})
-	})
-	sort.Slice(caps, func(i, j int) bool { return caps[i].id < caps[j].id })
-	return s.anomaliesFromCaptures(caps, now), nil
-}
-
 // routeMeanSpeed estimates the route's historical mean ground speed from the
 // travel-time store, falling back to half the free-flow speed when no
 // history exists yet.
 func (s *Service) routeMeanSpeed(route *roadnet.Route) float64 {
 	var totalTime float64
 	haveAll := true
-	for _, sid := range route.Segments() {
-		m, n := s.store.SegmentMean(sid)
+	for i := 0; i < route.NumSegments(); i++ {
+		m, n := s.store.SegmentMean(route.SegmentID(i))
 		if n == 0 {
 			haveAll = false
 			break
@@ -1013,8 +906,8 @@ func (s *Service) routeMeanSpeed(route *roadnet.Route) float64 {
 	}
 	// Free-flow fallback across segments.
 	var ffTime float64
-	for _, sid := range route.Segments() {
-		seg, _ := s.net.Graph.Segment(sid)
+	for i := 0; i < route.NumSegments(); i++ {
+		seg, _ := s.net.Graph.Segment(route.SegmentID(i))
 		ffTime += seg.Length() / seg.SpeedLimit
 	}
 	if ffTime == 0 {

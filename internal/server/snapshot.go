@@ -3,16 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wilocator/internal/api"
 	"wilocator/internal/locate"
-	"wilocator/internal/predict"
 	"wilocator/internal/roadnet"
 	"wilocator/internal/trafficmap"
 )
@@ -31,12 +31,24 @@ import (
 // Mutations (accepted reports, registrations, evictions, travel-time
 // records) bump a dirty counter; a snapshot records the counter value it was
 // computed at (asOf). A read whose loaded snapshot satisfies asOf == dirty
-// serves it straight from the atomic pointer. Otherwise the reader tries to
-// become the publisher with a TryLock: the winner recomputes and stores a
-// fresh snapshot with the next epoch, concurrent losers serve the previous
-// snapshot (still a real published epoch — bounded staleness, never a torn
-// view). At quiescence every read is therefore exactly as fresh as the old
-// lock-path recompute, which is what the byte-equivalence tests pin.
+// serves it straight from the atomic pointer. Otherwise the reader takes the
+// single-flight publish lock. Once it holds the lock it serves whatever
+// snapshot is current if that one covers the dirty value the read saw when
+// it began (a concurrent publisher already did the work); only otherwise
+// does it recompute and store a fresh snapshot with the next epoch. A read
+// therefore never returns an epoch older than a mutation that finished
+// before the read began — a write acknowledged to a client is visible to
+// that client's next read.
+//
+// # Incremental publish
+//
+// A publish recomputes only the products whose inputs changed since the
+// previous epoch and shares the rest with it by pointer, rendered bytes
+// included. Each bus carries a version (the dirty value of its last
+// mutation, globally unique and monotone, so it stays safe across
+// eviction and re-registration); the travel-time store carries its own.
+// The per-product rules live on computeSnapshot; the equivalence tests
+// hold every incremental epoch byte-equal to a full rebuild.
 //
 // Because two products of one snapshot were captured in a single pass, a
 // request pairing Anomalies with Trajectory (or Vehicles with Arrivals) can
@@ -74,7 +86,7 @@ type readStats struct {
 type snapState struct {
 	dirty atomic.Uint64
 	cur   atomic.Pointer[readSnapshot]
-	mu    sync.Mutex // single-flight publisher; TryLock on the read path
+	mu    sync.Mutex // single-flight publisher
 }
 
 // arrivalCell is one (route, stop) entry of the precomputed arrival table.
@@ -99,12 +111,14 @@ type readSnapshot struct {
 	generatedAt time.Time
 	etag        string // strong ETag, derived from the epoch
 
+	storeVersion uint64 // traveltime.Store version loaded before the capture
+
+	buses        []*busEntry                    // registered buses, sorted by ID
 	vehicles     map[string][]api.VehicleStatus // "" = all routes
 	vehiclesBody map[string][]byte
 	arrivals     map[string][]arrivalCell // routeID -> stop index
 	tmaps        map[string]tmapCell      // "" = all routes
 	anomalies    []api.AnomalyReport      // all routes, sorted
-	trajectories map[string]api.TrajectoryResponse
 }
 
 // nullBody is the rendered JSON of a nil slice, matching writeJSON's
@@ -124,21 +138,25 @@ func marshalBody(v any) []byte {
 	return buf.Bytes()
 }
 
-// markDirty records a mutation of read-visible state and pokes the broadcast
-// pump when one is running. Called with the mutated state's lock still held,
-// so a concurrent capture either reads the dirty counter before this bump
-// (and will be recomputed by the next read) or blocks on the per-bus lock
-// until the mutation is fully visible.
-func (s *Service) markDirty() {
-	s.snap.dirty.Add(1)
+// markDirty records a mutation of read-visible state, pokes the broadcast
+// pump when one is running, and returns the new dirty value — the version a
+// mutated bus records. Called with the mutated state's lock still held, so a
+// concurrent capture either reads the dirty counter before this bump (and
+// will be recomputed by the next read) or blocks on the per-bus lock until
+// the mutation is fully visible.
+func (s *Service) markDirty() uint64 {
+	v := s.snap.dirty.Add(1)
 	if b := s.bcast; b != nil {
 		b.poke()
 	}
+	return v
 }
 
-// snapshotFresh reports whether snap can be served for a read at time now.
-func (s *Service) snapshotFresh(snap *readSnapshot, now time.Time) bool {
-	if snap == nil || snap.asOf != s.snap.dirty.Load() {
+// snapshotServes reports whether snap can be served for a read at time now
+// that began when the dirty counter stood at seen: it covers every mutation
+// up to seen and is younger than one fusion window.
+func (s *Service) snapshotServes(snap *readSnapshot, seen uint64, now time.Time) bool {
+	if snap == nil || snap.asOf < seen {
 		return false
 	}
 	age := now.Sub(snap.generatedAt)
@@ -146,33 +164,27 @@ func (s *Service) snapshotFresh(snap *readSnapshot, now time.Time) bool {
 }
 
 // currentSnapshot returns the snapshot to serve: the published one when it
-// is fresh, otherwise the result of a single-flight republish. Concurrent
-// readers that lose the TryLock serve the previous snapshot — a real
-// published epoch, at most one publish interval stale.
+// is fresh, otherwise the result of a single-flight republish. A reader that
+// finds a publish in progress waits for it and serves its result when that
+// covers the read, so no read returns an epoch older than a mutation that
+// completed before the read began.
 func (s *Service) currentSnapshot() *readSnapshot {
+	seen := s.snap.dirty.Load()
 	cur := s.snap.cur.Load()
-	if s.snapshotFresh(cur, s.cfg.Now()) {
+	if s.snapshotServes(cur, seen, s.cfg.Now()) {
 		return cur
 	}
-	if !s.snap.mu.TryLock() {
-		// Another reader is publishing right now. NewService publishes the
-		// initial snapshot synchronously, so cur is never nil here.
-		return cur
-	}
+	s.snap.mu.Lock()
 	defer s.snap.mu.Unlock()
 	now := s.cfg.Now()
 	cur = s.snap.cur.Load()
-	if s.snapshotFresh(cur, now) {
-		return cur // the winner we raced against already republished
+	if s.snapshotServes(cur, seen, now) {
+		return cur // a publisher we waited for already covered this read
 	}
 	// Load dirty before capturing: a mutation landing mid-capture leaves
 	// asOf behind the counter, so the next read recomputes.
 	asOf := s.snap.dirty.Load()
-	var epoch uint64 = 1
-	if cur != nil {
-		epoch = cur.epoch + 1
-	}
-	next := s.computeSnapshot(asOf, epoch, now)
+	next := s.computeSnapshot(cur, asOf, cur.epoch+1, now)
 	s.snap.cur.Store(next)
 	s.read.publishes.Add(1)
 	return next
@@ -211,230 +223,332 @@ func (s *Service) ReadStats() api.ReadStats {
 	return out
 }
 
-// busCapture is one bus's state, captured under its lock in a single pass so
-// every product derived from it observes the same instant.
-type busCapture struct {
+// busEntry is one bus's captured state plus the per-bus read products
+// derived from it. Entries are immutable once published: an epoch that
+// finds the bus's version unchanged shares the previous epoch's entry by
+// pointer, trajectory copy and rendered products included.
+type busEntry struct {
 	id         string
+	version    uint64 // busState.version at capture
 	routeID    string
 	route      *roadnet.Route
 	lastUpdate time.Time
 	done       bool
-	arc        float64
-	arcOK      bool
-	speed      float64
+	hasFix     bool
+	vehicle    api.VehicleStatus // valid when hasFix
 	traj       []locate.TrajectoryPoint
+	trajectory api.TrajectoryResponse
+
+	// anomalies are the bus's detection rows in detection order, valid when
+	// anomOK and computed at store version anomStore.
+	anomalies []api.AnomalyReport
+	anomStore uint64
+	anomOK    bool
 }
 
-// captureBuses snapshots every registered bus (per-bus lock held only for
-// the copy). The result is sorted by bus ID.
-func (s *Service) captureBuses() []busCapture {
-	var caps []busCapture
+// findBus returns the entry for id in an ID-sorted entry list, or nil.
+func findBus(buses []*busEntry, id string) *busEntry {
+	i, ok := slices.BinarySearchFunc(buses, id, func(e *busEntry, id string) int {
+		return strings.Compare(e.id, id)
+	})
+	if !ok {
+		return nil
+	}
+	return buses[i]
+}
+
+// captureBuses snapshots every registered bus, sorted by bus ID. A bus
+// whose version equals its entry in prev reuses that entry; only a bus that
+// changed has its state and trajectory copied (per-bus lock held only for
+// the copy).
+func (s *Service) captureBuses(prev *readSnapshot) []*busEntry {
+	var old []*busEntry
+	if prev != nil {
+		old = prev.buses
+	}
+	out := make([]*busEntry, 0, len(old))
+	var fresh []*busEntry
 	s.buses.forEach(func(id string, bs *busState) {
+		reuse := findBus(old, id)
 		bs.mu.Lock()
 		defer bs.mu.Unlock()
 		if bs.tracker == nil {
 			return
 		}
-		c := busCapture{
+		if reuse != nil && reuse.version == bs.version {
+			out = append(out, reuse)
+			return
+		}
+		e := &busEntry{
 			id:         id,
+			version:    bs.version,
 			routeID:    bs.routeID,
 			route:      bs.tracker.Route(),
 			lastUpdate: bs.lastUpdate,
 			done:       bs.done,
 			traj:       bs.tracker.Trajectory(), // already a copy
 		}
-		c.arc, c.arcOK = bs.tracker.Arc()
-		c.speed, _ = bs.tracker.Speed()
-		caps = append(caps, c)
+		if arc, ok := bs.tracker.Arc(); ok {
+			speed, _ := bs.tracker.Speed()
+			e.hasFix = true
+			e.vehicle = api.VehicleStatus{
+				BusID:   id,
+				RouteID: bs.routeID,
+				Arc:     arc,
+				Pos:     e.route.PointAt(arc),
+				Speed:   speed,
+				Updated: bs.lastUpdate,
+			}
+		}
+		out = append(out, e)
+		fresh = append(fresh, e)
 	})
-	sort.Slice(caps, func(i, j int) bool { return caps[i].id < caps[j].id })
-	return caps
-}
-
-// vehiclesFromCaptures derives the live-vehicle list (the Vehicles filter:
-// not finished, not stale, has a fix) from captured bus states. caps must be
-// sorted by bus ID; the result preserves that order. Returns nil, not an
-// empty slice, when nothing matches — the old lock path's (and the wire
-// format's) convention.
-func (s *Service) vehiclesFromCaptures(caps []busCapture, now time.Time, routeID string) []api.VehicleStatus {
-	var out []api.VehicleStatus
-	for _, c := range caps {
-		if routeID != "" && c.routeID != routeID {
-			continue
-		}
-		if c.done || now.Sub(c.lastUpdate) > s.cfg.StaleAfter {
-			continue
-		}
-		if !c.arcOK {
-			continue
-		}
-		out = append(out, api.VehicleStatus{
-			BusID:   c.id,
-			RouteID: c.routeID,
-			Arc:     c.arc,
-			Pos:     c.route.PointAt(c.arc),
-			Speed:   c.speed,
-			Updated: c.lastUpdate,
-		})
+	slices.SortFunc(out, func(a, b *busEntry) int { return strings.Compare(a.id, b.id) })
+	// Project outside the bus locks; fresh entries are not yet shared.
+	for _, e := range fresh {
+		e.trajectory = s.trajectoryOf(e)
 	}
 	return out
 }
 
-// filterVehicles narrows an already-derived (sorted) vehicle list to one
-// route, preserving nil-for-empty.
-func filterVehicles(all []api.VehicleStatus, routeID string) []api.VehicleStatus {
-	var out []api.VehicleStatus
-	for _, v := range all {
-		if v.RouteID == routeID {
-			out = append(out, v)
+// trajectoryOf projects a captured trajectory into Definition 6 tuples.
+func (s *Service) trajectoryOf(e *busEntry) api.TrajectoryResponse {
+	out := api.TrajectoryResponse{BusID: e.id, RouteID: e.routeID}
+	if len(e.traj) > 0 {
+		out.Fixes = make([]api.TrajectoryFix, len(e.traj))
+		for i, p := range e.traj {
+			ll := s.proj.ToLatLng(p.Pos)
+			out.Fixes[i] = api.TrajectoryFix{Lat: ll.Lat, Lng: ll.Lng, Time: p.Time, Arc: p.Arc}
 		}
 	}
 	return out
+}
+
+// listBuilder re-derives a vehicle list against the previous epoch's list
+// for the same key. While the derived entries match prev element for
+// element it allocates nothing; the first difference copies the matched
+// prefix and appends from there.
+type listBuilder struct {
+	prev     []api.VehicleStatus
+	n        int // entries matched against prev so far
+	out      []api.VehicleStatus
+	diverged bool
+}
+
+func (b *listBuilder) add(v api.VehicleStatus) {
+	if !b.diverged {
+		if b.n < len(b.prev) && b.prev[b.n] == v {
+			b.n++
+			return
+		}
+		b.diverged = true
+		b.out = append(make([]api.VehicleStatus, 0, len(b.prev)+1), b.prev[:b.n]...)
+	}
+	b.out = append(b.out, v)
+}
+
+// result returns the derived list — nil, not an empty slice, when nothing
+// matched (the wire format's convention) — and whether it is the previous
+// epoch's list itself, so its rendered body can be shared too.
+func (b *listBuilder) result() (vs []api.VehicleStatus, same bool) {
+	switch {
+	case b.diverged:
+		return b.out, false
+	case b.n == len(b.prev):
+		return b.prev, true
+	case b.n == 0:
+		return nil, false
+	default:
+		return b.prev[:b.n:b.n], false // a prefix of an immutable list
+	}
 }
 
 // arrivalsForRoute computes the arrival table of one route from its live
-// vehicles — the same per-stop prediction loop the old per-request path ran.
+// vehicles: one walk of each vehicle's segments emits every stop ahead of
+// it, with exactly the estimates per-stop PredictArrival gives. A stop's
+// cell carries the error of the first vehicle (in list order) whose
+// prediction for it failed, as the per-stop loop reported.
 func (s *Service) arrivalsForRoute(route *roadnet.Route, vehicles []api.VehicleStatus) []arrivalCell {
 	routeID := route.ID()
 	cells := make([]arrivalCell, route.NumStops())
-	for stopIdx := range cells {
-		cell := &cells[stopIdx]
-		ests, err := s.predictStop(route, routeID, vehicles, stopIdx)
-		if err != nil {
-			cell.err = err
-			continue
-		}
-		cell.ests = ests
-		if ests == nil {
+	for _, v := range vehicles {
+		// The route comes from the predictor's own network, so the walk
+		// cannot fail on an unknown route; segment errors arrive per stop.
+		_ = s.pred.ForEachStopAhead(routeID, v.Arc, v.Updated, func(stopIdx int, eta time.Time, err error) {
+			cell := &cells[stopIdx]
+			switch {
+			case cell.err != nil:
+			case err != nil:
+				*cell = arrivalCell{err: err}
+			default:
+				cell.ests = append(cell.ests, api.ArrivalEstimate{
+					BusID:     v.BusID,
+					RouteID:   routeID,
+					StopIndex: stopIdx,
+					StopName:  route.Stop(stopIdx).Name,
+					ETA:       eta,
+				})
+			}
+		})
+	}
+	for i := range cells {
+		cell := &cells[i]
+		switch {
+		case cell.err != nil:
+		case cell.ests == nil:
 			cell.body = nullBody
-		} else {
-			cell.body = marshalBody(ests)
+		default:
+			cell.body = marshalBody(cell.ests)
 		}
 	}
 	return cells
 }
 
-// predictStop runs the arrival prediction of one (route, stop) over the
-// given vehicles. Shared by the snapshot publisher and the recompute
-// reference path so the two can never diverge.
-func (s *Service) predictStop(route *roadnet.Route, routeID string, vehicles []api.VehicleStatus, stopIdx int) ([]api.ArrivalEstimate, error) {
-	var out []api.ArrivalEstimate
-	for _, v := range vehicles {
-		eta, err := s.pred.PredictArrival(routeID, v.Arc, v.Updated, stopIdx)
-		if err != nil {
-			if errors.Is(err, predict.ErrStopBehind) {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, api.ArrivalEstimate{
-			BusID:     v.BusID,
-			RouteID:   routeID,
-			StopIndex: stopIdx,
-			StopName:  route.Stops()[stopIdx].Name,
-			ETA:       eta,
+// detectAnomalies runs the Fig. 4 anomaly detection over one bus's
+// captured trajectory, with the δ threshold derived from the route's
+// historical mean speed.
+func (s *Service) detectAnomalies(e *busEntry) []api.AnomalyReport {
+	route, ok := s.net.Route(e.routeID)
+	if !ok {
+		return nil
+	}
+	delta := trafficmap.DeltaFromHistory(s.routeMeanSpeed(route), s.cfg.FusionWindow, 0)
+	var out []api.AnomalyReport
+	for _, a := range trafficmap.DetectAnomalies(e.traj, delta, anomalyMinPoints, s.anomalyExclude[e.routeID], 30) {
+		center := (a.StartArc + a.EndArc) / 2
+		out = append(out, api.AnomalyReport{
+			BusID:    e.id,
+			RouteID:  e.routeID,
+			StartArc: a.StartArc,
+			EndArc:   a.EndArc,
+			Start:    a.Start,
+			End:      a.End,
+			Pos:      route.PointAt(center),
 		})
 	}
-	return out, nil
+	return out
 }
 
-// anomaliesFromCaptures runs the Fig. 4 anomaly detection over the captured
-// trajectories — the same per-bus pipeline as the old path, but every bus is
-// observed at the same epoch instead of under one lock acquisition each.
-func (s *Service) anomaliesFromCaptures(caps []busCapture, now time.Time) []api.AnomalyReport {
-	var out []api.AnomalyReport
-	for _, b := range caps {
-		if now.Sub(b.lastUpdate) > s.cfg.StaleAfter {
-			continue
-		}
-		route, ok := s.net.Route(b.routeID)
-		if !ok {
-			continue
-		}
-		delta := trafficmap.DeltaFromHistory(s.routeMeanSpeed(route), s.cfg.FusionWindow, 0)
-		var exclude []float64
-		for _, stop := range route.Stops() {
-			exclude = append(exclude, stop.Arc)
-		}
-		for i := 0; i < route.NumSegments(); i++ {
-			if seg, _ := s.net.Graph.Segment(route.Segments()[i]); seg != nil && seg.Signal {
-				exclude = append(exclude, route.SegmentEndArc(i))
-			}
-		}
-		for _, a := range trafficmap.DetectAnomalies(b.traj, delta, anomalyMinPoints, exclude, 30) {
-			center := (a.StartArc + a.EndArc) / 2
-			out = append(out, api.AnomalyReport{
-				BusID:    b.id,
-				RouteID:  b.routeID,
-				StartArc: a.StartArc,
-				EndArc:   a.EndArc,
-				Start:    a.Start,
-				End:      a.End,
-				Pos:      route.PointAt(center),
-			})
+// anomalyExcludeArcs lists the arcs where a crawl is expected, not
+// anomalous: the route's stops and the ends of its signalled segments.
+func anomalyExcludeArcs(net *roadnet.Network, route *roadnet.Route) []float64 {
+	var exclude []float64
+	for i := 0; i < route.NumStops(); i++ {
+		exclude = append(exclude, route.StopArc(i))
+	}
+	for i := 0; i < route.NumSegments(); i++ {
+		if seg, _ := net.Graph.Segment(route.SegmentID(i)); seg != nil && seg.Signal {
+			exclude = append(exclude, route.SegmentEndArc(i))
 		}
 	}
+	return exclude
+}
+
+// sortAnomalies orders anomaly rows by (route, start arc).
+func sortAnomalies(out []api.AnomalyReport) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].RouteID != out[j].RouteID {
 			return out[i].RouteID < out[j].RouteID
 		}
 		return out[i].StartArc < out[j].StartArc
 	})
-	return out
 }
 
-// computeSnapshot builds one immutable epoch: a single capture pass over the
-// bus table, then every read product derived from that one capture, then the
-// JSON renders. Publish-side cost is O(buses + routes×stops); read-side cost
-// becomes a pointer load.
-func (s *Service) computeSnapshot(asOf, epoch uint64, now time.Time) *readSnapshot {
-	caps := s.captureBuses()
-	routes := s.net.Routes()
+// computeSnapshot builds one immutable epoch from prev (nil: from scratch).
+// Every product whose inputs did not change since prev is shared with it by
+// pointer, rendered bytes included; see DESIGN.md for the reuse rules. The
+// result is byte-for-byte what a full rebuild at the same instant yields.
+func (s *Service) computeSnapshot(prev *readSnapshot, asOf, epoch uint64, now time.Time) *readSnapshot {
+	// Load the store version before anything reads the store: a record
+	// landing mid-publish leaves it behind, so the next epoch recomputes.
+	storeVer := s.store.Version()
+	buses := s.captureBuses(prev)
+	routes := s.routes
+	live := func(e *busEntry) bool { return now.Sub(e.lastUpdate) <= s.cfg.StaleAfter }
 
 	snap := &readSnapshot{
-		epoch:       epoch,
-		asOf:        asOf,
-		generatedAt: now,
-		etag:        fmt.Sprintf("%q", fmt.Sprintf("wl-%d", epoch)),
+		epoch:        epoch,
+		asOf:         asOf,
+		storeVersion: storeVer,
+		generatedAt:  now,
+		etag:         fmt.Sprintf("%q", fmt.Sprintf("wl-%d", epoch)),
 
+		buses:        buses,
 		vehicles:     make(map[string][]api.VehicleStatus, len(routes)+1),
 		vehiclesBody: make(map[string][]byte, len(routes)+1),
 		arrivals:     make(map[string][]arrivalCell, len(routes)),
 		tmaps:        make(map[string]tmapCell, len(routes)+1),
-		trajectories: make(map[string]api.TrajectoryResponse, len(caps)),
 	}
+	storeSame := prev != nil && prev.storeVersion == storeVer
 
-	all := s.vehiclesFromCaptures(caps, now, "")
-	snap.vehicles[""] = all
-	snap.vehiclesBody[""] = renderVehicles(all)
-	for _, rt := range routes {
-		vs := filterVehicles(all, rt.ID())
-		snap.vehicles[rt.ID()] = vs
-		snap.vehiclesBody[rt.ID()] = renderVehicles(vs)
-		snap.arrivals[rt.ID()] = s.arrivalsForRoute(rt, vs)
+	// Anomaly rows: kept per bus while its version and the store version
+	// hold; the staleness filter runs fresh against now.
+	for i, e := range buses {
+		if !live(e) {
+			continue
+		}
+		if !e.anomOK || e.anomStore != storeVer {
+			c := *e
+			c.anomalies, c.anomStore, c.anomOK = s.detectAnomalies(e), storeVer, true
+			e = &c
+			buses[i] = e
+		}
+		snap.anomalies = append(snap.anomalies, e.anomalies...)
+	}
+	sortAnomalies(snap.anomalies)
+
+	// Vehicle lists: re-derived every epoch (staleness moves with the
+	// clock), sharing the previous slice and body when nothing changed.
+	builders := make([]listBuilder, len(routes)+1) // [0] = all routes
+	if prev != nil {
+		builders[0].prev = prev.vehicles[""]
+		for i, rt := range routes {
+			builders[i+1].prev = prev.vehicles[rt.ID()]
+		}
+	}
+	for _, e := range buses {
+		if e.done || !e.hasFix || !live(e) {
+			continue
+		}
+		builders[0].add(e.vehicle)
+		if i, ok := s.routeIdx[e.routeID]; ok {
+			builders[i+1].add(e.vehicle)
+		}
+	}
+	for i := range builders {
+		key := ""
+		if i > 0 {
+			key = routes[i-1].ID()
+		}
+		vs, same := builders[i].result()
+		same = same && prev != nil
+		snap.vehicles[key] = vs
+		if same {
+			snap.vehiclesBody[key] = prev.vehiclesBody[key]
+		} else {
+			snap.vehiclesBody[key] = renderVehicles(vs)
+		}
+		// Arrival tables depend on the route's vehicles and the store only.
+		if i > 0 {
+			if same && storeSame {
+				snap.arrivals[key] = prev.arrivals[key]
+			} else {
+				snap.arrivals[key] = s.arrivalsForRoute(routes[i-1], vs)
+			}
+		}
 	}
 
 	// Traffic map: whole network plus every route, classified at the same
-	// now. MapForRoute cannot fail here — the routes come from the network.
-	allStatuses := s.tmap.Map(now)
-	snap.tmaps[""] = newTmapCell(now, allStatuses)
+	// now (GeneratedAt and the classification window move with the clock,
+	// so these are rebuilt every epoch). MapForRoute cannot fail here — the
+	// routes come from the network.
+	snap.tmaps[""] = newTmapCell(now, s.tmap.Map(now))
 	for _, rt := range routes {
 		statuses, err := s.tmap.MapForRoute(rt.ID(), now)
 		if err != nil {
 			continue
 		}
 		snap.tmaps[rt.ID()] = newTmapCell(now, statuses)
-	}
-
-	snap.anomalies = s.anomaliesFromCaptures(caps, now)
-
-	for _, c := range caps {
-		out := api.TrajectoryResponse{BusID: c.id, RouteID: c.routeID}
-		for _, p := range c.traj {
-			ll := s.proj.ToLatLng(p.Pos)
-			out.Fixes = append(out.Fixes, api.TrajectoryFix{Lat: ll.Lat, Lng: ll.Lng, Time: p.Time, Arc: p.Arc})
-		}
-		snap.trajectories[c.id] = out
 	}
 	return snap
 }

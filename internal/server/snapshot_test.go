@@ -2,15 +2,21 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wilocator/internal/api"
 	"wilocator/internal/mobility"
+	"wilocator/internal/roadnet"
 	"wilocator/internal/sensing"
+	"wilocator/internal/svd"
+	"wilocator/internal/traveltime"
+	"wilocator/internal/wifi"
 	"wilocator/internal/xrand"
 )
 
@@ -288,5 +294,211 @@ func TestVehiclesGETServesPrerenderedBytes(t *testing.T) {
 	rec, got := get(api.PathVehicles + "?route=ghost")
 	if rec.Code != http.StatusOK || !bytes.Equal(got, nullBody) {
 		t.Errorf("unknown route: status %d body %q, want 200 %q", rec.Code, got, nullBody)
+	}
+}
+
+// TestIncrementalPublishMatchesFullRebuild drives a seeded random
+// interleaving of ingest (fix flushes, segment crossings and the travel-time
+// records they emit), trip ends with re-registration on a random route,
+// eviction, out-of-band store records, and clock moves past FusionWindow and
+// StaleAfter (and briefly backwards). After every step a fresh epoch is
+// published and every product and body must equal the full rebuild of the
+// Recompute* reference. The run must also exercise reuse, or it proves
+// nothing about the incremental rules.
+func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
+	net, err := roadnet.BuildRadialCity(roadnet.RadialSpec{Spokes: 4, Rings: 3, Block: 220}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := wifi.Deploy(net, wifi.DefaultDeploySpec(), xrand.New(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dia, err := svd.Build(net, dep, svd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := traveltime.NewStore(traveltime.PaperPlan())
+	var clock atomic.Int64
+	clock.Store(t0.UnixNano())
+	now := func() time.Time { return time.Unix(0, clock.Load()) }
+	setClock := func(at time.Time) { clock.Store(at.UnixNano()) }
+	svc, err := NewService(dia, store, Config{Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	rng := xrand.New(62)
+	routes := net.Routes()
+	type bus struct {
+		id     string
+		route  *roadnet.Route
+		trip   *mobility.Trip
+		phones []*sensing.Phone
+		at     time.Time
+	}
+	// A slow zone mid-route on every route gives the anomaly detector
+	// crawl sites to report.
+	var incidents []mobility.Incident
+	for _, rt := range routes {
+		seg := rt.SegmentID(rt.NumSegments() / 2)
+		incidents = append(incidents, mobility.Incident{Seg: seg, Start: t0, End: t0.Add(24 * time.Hour),
+			SlowFactor: 20, ArcStart: 40, ArcEnd: 140})
+	}
+	start := func(b *bus, route *roadnet.Route, at time.Time) {
+		b.route = route
+		trip, err := mobility.Drive(net, b.route.ID(), at, mobility.DriveConfig{},
+			mobility.DefaultCongestion(1), incidents, xrand.New(rng.Uint64()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		phones, err := sensing.NewRiderPhones(b.id, 2, dep, sensing.PhoneConfig{ReportLoss: -1}, xrand.New(rng.Uint64()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.trip, b.phones, b.at = trip, phones, trip.Start()
+	}
+	buses := make([]*bus, 6)
+	for i := range buses {
+		buses[i] = &bus{id: fmt.Sprintf("bus-%d", i)}
+		start(buses[i], routes[i%len(routes)], t0.Add(time.Duration(i)*40*time.Second))
+	}
+
+	var prev *readSnapshot
+	var sharedEntries, sharedTables, recomputedTables, liveVehicles, anomalies int
+	for step := 0; step < 600; step++ {
+		op := rng.Intn(40)
+		switch {
+		case op < 32: // one scan cycle of one bus
+			b := buses[rng.Intn(len(buses))]
+			switch {
+			case b.trip.Done(b.at):
+				// The trip ended. Start the next one past StaleAfter, so the
+				// bus re-registers even if its tracker missed the terminus,
+				// on any route.
+				start(b, routes[rng.Intn(len(routes))], maxTime(now(), b.at).Add(6*time.Minute))
+			case now().Sub(b.at) > 2*time.Minute: // left behind by a clock jump
+				start(b, b.route, now())
+			}
+			pos := b.route.PointAt(b.trip.ArcAt(b.at))
+			for _, p := range b.phones {
+				if scan, ok := p.ScanAt(pos, b.at); ok {
+					if _, err := svc.Ingest(api.Report{BusID: b.id, RouteID: b.route.ID(), PhoneID: p.ID(), Scan: scan}); err != nil {
+						t.Fatalf("step %d: ingest: %v", step, err)
+					}
+				}
+			}
+			setClock(maxTime(now(), b.at))
+			b.at = b.at.Add(sensing.DefaultScanPeriod)
+		case op < 35: // clock moves up to two fusion windows
+			setClock(now().Add(time.Duration(rng.Intn(21)) * time.Second))
+		case op < 36: // a quiet spell: everything goes stale
+			setClock(now().Add(6 * time.Minute))
+		case op < 37:
+			svc.EvictStale()
+		case op < 39: // out-of-band records over a whole route at one speed
+			// Crawling or racing history swings the route's mean speed, so
+			// the anomaly threshold δ, across the slow zone's pace.
+			rt := routes[rng.Intn(len(routes))]
+			speed := []float64{1.5, 6, 30}[rng.Intn(3)]
+			enter := now().Add(-10 * time.Minute)
+			for i := 0; i < rt.NumSegments(); i++ {
+				secs := (rt.SegmentEndArc(i) - rt.SegmentStartArc(i)) / speed
+				rec := traveltime.Record{Seg: rt.SegmentID(i), RouteID: rt.ID(),
+					Enter: enter, Exit: enter.Add(time.Duration(secs * float64(time.Second)))}
+				for k := 0; k < 3; k++ {
+					if err := store.Add(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			svc.InvalidateReadSnapshot()
+		default: // the clock steps back
+			setClock(now().Add(-3 * time.Second))
+		}
+
+		// Publish at the current instant, then compare with a full rebuild.
+		svc.InvalidateReadSnapshot()
+		snap := svc.currentSnapshot()
+		got, want := snapshotProducts(snap), svc.referenceProducts()
+		for key, w := range want {
+			if g, ok := got[key]; !ok || !bytes.Equal(g, w) {
+				t.Fatalf("step %d (op %d): %s diverged from the full rebuild:\nincremental: %s\nrebuild:     %s", step, op, key, g, w)
+			}
+		}
+		for key := range got {
+			if _, ok := want[key]; !ok {
+				t.Fatalf("step %d: snapshot serves %s, the full rebuild has no such product", step, key)
+			}
+		}
+
+		if prev != nil {
+			for _, e := range snap.buses {
+				if findBus(prev.buses, e.id) == e {
+					sharedEntries++
+				}
+			}
+			for _, rt := range routes {
+				cells, old := snap.arrivals[rt.ID()], prev.arrivals[rt.ID()]
+				if len(cells) > 0 && len(old) > 0 && &cells[0] == &old[0] {
+					sharedTables++
+				} else {
+					recomputedTables++
+				}
+			}
+		}
+		liveVehicles += len(snap.vehicles[""])
+		anomalies += len(snap.anomalies)
+		prev = snap
+	}
+	t.Logf("%d shared bus entries, %d shared / %d recomputed arrival tables, %d live-vehicle and %d anomaly rows, %d records",
+		sharedEntries, sharedTables, recomputedTables, liveVehicles, anomalies, store.NumRecords())
+	if sharedEntries == 0 || sharedTables == 0 || recomputedTables == 0 {
+		t.Errorf("interleaving exercised too little: %d shared bus entries, %d shared and %d recomputed arrival tables",
+			sharedEntries, sharedTables, recomputedTables)
+	}
+	if store.NumRecords() == 0 {
+		t.Error("no travel-time records: the store-version rule went unexercised")
+	}
+}
+
+func maxTime(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
+}
+
+// TestReadAfterWriteSeesMutation is the regression test for stale reads
+// after an acknowledged write: a reader arriving while another publish holds
+// the lock must not serve the epoch from before a mutation that completed
+// before the read began. Holding snap.mu stands in for the in-flight
+// publisher; the read may only return once the lock is free, and what it
+// returns must cover the mutation.
+func TestReadAfterWriteSeesMutation(t *testing.T) {
+	w := newWorld(t, 54)
+	w.runBusHalf(t, "bus-1", t0, 3, 550)
+	before := w.svc.currentSnapshot()
+
+	w.svc.snap.mu.Lock()
+	w.svc.InvalidateReadSnapshot() // the acknowledged mutation
+	mutated := w.svc.snap.dirty.Load()
+	got := make(chan *readSnapshot, 1)
+	go func() { got <- w.svc.currentSnapshot() }()
+	var early *readSnapshot
+	select {
+	case early = <-got:
+	case <-time.After(50 * time.Millisecond):
+	}
+	w.svc.snap.mu.Unlock()
+	if early != nil {
+		t.Fatalf("read returned epoch %d (asOf %d) while a publish was in flight; the mutation is at %d",
+			early.epoch, early.asOf, mutated)
+	}
+	snap := <-got
+	if snap.asOf < mutated || snap.epoch <= before.epoch {
+		t.Errorf("read after the write served epoch %d (asOf %d), want a newer epoch covering dirty value %d",
+			snap.epoch, snap.asOf, mutated)
 	}
 }

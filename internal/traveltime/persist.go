@@ -184,9 +184,11 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	s.mu.Lock()
 	s.hist = hist
 	s.durs = durs
+	s.durRoutes = indexDurations(durs)
 	s.recent = recent
 	s.hourly = hourly
 	s.allSeg = allSeg
+	s.version.Add(1)
 	s.mu.Unlock()
 	return cr.n, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wilocator/internal/roadnet"
@@ -42,6 +43,13 @@ type histKey struct {
 	slot  int
 }
 
+// segSlot keys the per-(segment, slot) route index of the duration
+// histories.
+type segSlot struct {
+	seg  roadnet.SegmentID
+	slot int
+}
+
 type hourKey struct {
 	seg   roadnet.SegmentID
 	hour  int
@@ -71,6 +79,16 @@ type Store struct {
 	recent map[roadnet.SegmentID][]Traversal
 	hourly map[hourKey]*meanAcc
 	allSeg map[roadnet.SegmentID]*meanAcc
+
+	// durRoutes lists, per (segment, slot), the routes holding a duration
+	// history, sorted, so residual statistics visit only their own keys and
+	// sum them in one fixed order.
+	durRoutes map[segSlot][]string
+
+	// version counts content changes (bumped under mu, after the change).
+	// A reader that loads it before querying sees at least every change up
+	// to the loaded value, so an unchanged version proves unchanged content.
+	version atomic.Uint64
 }
 
 // NewStore creates a store slotting records by plan.
@@ -82,11 +100,18 @@ func NewStore(plan SlotPlan) *Store {
 		recent: make(map[roadnet.SegmentID][]Traversal),
 		hourly: make(map[hourKey]*meanAcc),
 		allSeg: make(map[roadnet.SegmentID]*meanAcc),
+
+		durRoutes: make(map[segSlot][]string),
 	}
 }
 
 // Plan returns the slot plan.
 func (s *Store) Plan() SlotPlan { return s.plan }
+
+// Version returns the store's monotone content version: it advances on
+// every accepted Add and every ReadFrom. Products derived from the store
+// after loading a version stay valid while Version still returns it.
+func (s *Store) Version() uint64 { return s.version.Load() }
 
 // Add ingests one record. Records with non-positive duration are rejected.
 func (s *Store) Add(rec Record) error {
@@ -112,7 +137,11 @@ func (s *Store) Add(rec Record) error {
 	acc.sum += d
 	acc.n++
 
-	if ds := s.durs[hk]; len(ds) < maxDurationsPerKey {
+	ds, ok := s.durs[hk]
+	if !ok {
+		s.durRoutes[segSlot{rec.Seg, slot}] = insertSorted(s.durRoutes[segSlot{rec.Seg, slot}], rec.RouteID)
+	}
+	if len(ds) < maxDurationsPerKey {
 		s.durs[hk] = append(ds, d)
 	}
 
@@ -137,6 +166,7 @@ func (s *Store) Add(rec Record) error {
 		ring = ring[len(ring)-maxRecentPerSegment:]
 	}
 	s.recent[rec.Seg] = ring
+	s.version.Add(1)
 	return nil
 }
 
@@ -188,10 +218,9 @@ func (s *Store) ResidualStats(seg roadnet.SegmentID, slot int) (mean, std float6
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var sum, sumSq float64
-	for hk, ds := range s.durs {
-		if hk.seg != seg || hk.slot != slot {
-			continue
-		}
+	for _, route := range s.durRoutes[segSlot{seg, slot}] {
+		hk := histKey{seg: seg, route: route, slot: slot}
+		ds := s.durs[hk]
 		acc := s.hist[hk]
 		if acc == nil {
 			// Defensive: a duration history without its mean (possible only
@@ -215,6 +244,25 @@ func (s *Store) ResidualStats(seg roadnet.SegmentID, slot int) (mean, std float6
 		v = 0
 	}
 	return mean, math.Sqrt(v), n
+}
+
+// insertSorted inserts v into the sorted list xs (v not yet present).
+func insertSorted(xs []string, v string) []string {
+	i := sort.SearchStrings(xs, v)
+	xs = append(xs, "")
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
+}
+
+// indexDurations builds durRoutes for a duration-history map.
+func indexDurations(durs map[histKey][]float64) map[segSlot][]string {
+	idx := make(map[segSlot][]string)
+	for hk := range durs {
+		k := segSlot{hk.seg, hk.slot}
+		idx[k] = insertSorted(idx[k], hk.route)
+	}
+	return idx
 }
 
 // SeasonalIndex returns SI(i,l) for segment seg over 24 hourly slots

@@ -1,6 +1,7 @@
 package traveltime
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -188,6 +189,38 @@ func TestResidualStats(t *testing.T) {
 	}
 	if _, _, n := s.ResidualStats(2, slot+1); n != 0 {
 		t.Error("empty slot has residuals")
+	}
+}
+
+// TestResidualStatsFixedOrder pins that the residual sums of a segment
+// shared by several routes do not depend on map iteration order: repeated
+// calls, and a store restored from a snapshot, return bit-identical figures.
+func TestResidualStatsFixedOrder(t *testing.T) {
+	s := NewStore(PaperPlan())
+	slot := PaperPlan().SlotOf(at(9, 0))
+	for i, route := range []string{"9", "14", "16", "99", "N19", "7"} {
+		for k := 0; k < 3; k++ {
+			if err := s.Add(rec(5, route, at(8, 10*k+i), 40.1+float64(i)*13.7+float64(k)*0.3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mean, std, n := s.ResidualStats(5, slot)
+	for i := 0; i < 50; i++ {
+		if m, sd, nn := s.ResidualStats(5, slot); m != mean || sd != std || nn != n {
+			t.Fatalf("call %d: (%v, %v, %d), first call (%v, %v, %d)", i, m, sd, nn, mean, std, n)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := NewStore(PaperPlan())
+	if _, err := r.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if m, sd, nn := r.ResidualStats(5, slot); m != mean || sd != std || nn != n {
+		t.Errorf("restored store: (%v, %v, %d), want (%v, %v, %d)", m, sd, nn, mean, std, n)
 	}
 }
 
